@@ -62,8 +62,8 @@ profile-smoke:
 		--speedscope results/profile_smoke.speedscope.json
 	$(PYTHON) -m repro profile flash-crowd --defense sybilcontrol --quick --coarse
 
-# Dump the perf trajectory snapshot (engine events/sec, fast-path vs
-# heap-path A/B, sweep wall time).
+# Dump the perf trajectory snapshot (engine events/sec, sweep wall
+# time, checkpoint/snapshot/profiler overheads).
 bench-quick:
 	$(PYTHON) benchmarks/bench_sweep.py --quick --jobs 2 --json BENCH_micro.json
 

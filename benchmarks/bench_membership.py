@@ -6,7 +6,7 @@ simulation throughput.  This micro measures, for both storage backends
 (:class:`~repro.identity.membership.DictMembershipSet` and
 :class:`~repro.identity.membership.ArenaMembershipSet`):
 
-* ``join``        -- per-row ``add`` (the heap path's cost);
+* ``join``        -- per-row ``add`` (the per-event hooks' cost);
 * ``join_batch``  -- ``add_batch`` in engine-realistic runs
   (``BATCH`` rows, the block fast path's cost);
 * ``remove``      -- ``remove_batch`` over the same runs, against a

@@ -35,8 +35,6 @@ from typing import Dict, List, Optional, Tuple
 #: metric name -> (json key, higher_is_better) for the micro snapshot.
 MICRO_METRICS = {
     "engine events/sec (fast path)": ("engine_events_per_sec", True),
-    "engine events/sec (heap path)": ("engine_events_per_sec_heap", True),
-    "fast-path speedup": ("engine_fastpath_speedup", True),
     "quick sweep wall (s)": ("sweep_serial_s", False),
     # membership floor (bench_membership.py merges these keys in)
     "membership arena join (ns)": ("membership_arena_join_ns", False),

@@ -159,7 +159,9 @@ class Defense(abc.ABC):
     #   per-row result is provably unchanged -- e.g. skipping a
     #   peak-bad-fraction check while the fraction is monotone across
     #   the run, or merging same-time SlidingWindowCounter records.
-    #   Equivalence is enforced by tests/test_engine_fastpath.py.
+    #   Equivalence is enforced by tests/test_engine_fastpath.py, which
+    #   checks the engine against the per-event oracle in
+    #   tests/heap_oracle.py (it calls only the per-ID hooks).
 
     def process_good_join_batch(self, times, idents=None) -> list:
         """Handle a time-sorted run of good join attempts.

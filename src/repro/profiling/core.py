@@ -1,7 +1,7 @@
 """Span-based cost attribution for the simulation engine.
 
-The engine's hot loop interleaves half a dozen subsystems -- the churn
-pump, the zero-heap block fast path, heap scheduling, defense hooks,
+The engine's hot loop interleaves half a dozen subsystems -- block
+loading, the zero-heap block lane, heap scheduling, defense hooks,
 membership mutation, sampling, snapshot emission -- and BENCH_scale.json
 can only say what the *whole* run cost.  This module attributes that
 wall clock: a :class:`SpanProfiler` wraps the loop's stable seams once
@@ -171,8 +171,7 @@ class ProfileReport(NamedTuple):
 #: fast path exists to avoid.  Used by :func:`span_shares` and the
 #: scale benchmarks' attribution columns.
 HEAP_SPANS = frozenset(
-    ("engine.heap_push", "engine.heap_pop", "engine.heap_drain",
-     "engine.churn_pump")
+    ("engine.heap_push", "engine.heap_pop", "engine.heap_drain")
 )
 
 

@@ -438,8 +438,7 @@ class SnapshotPolicy:
     strictly *observational*: the engine samples existing counters and
     spend totals at batch boundaries it would have taken anyway, draws
     no RNG, and records nothing into the run's metrics -- so final
-    metrics are byte-identical with snapshots on or off, on both the
-    block fast path and the per-event heap path.
+    metrics are byte-identical with snapshots on or off.
     """
 
     #: emit whenever simulated time advances past the next mark

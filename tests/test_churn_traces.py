@@ -194,7 +194,7 @@ class TestBlockModeCsvRoundTrip:
     Scenarios compile straight to struct-of-arrays blocks; exporting
     them with ``save_trace_csv`` and loading them back must preserve
     event order, kinds, idents, and same-instant ties (rows stay in
-    file order, which is pump-admission order).
+    file order, which is the engine's same-instant order).
     """
 
     def _compiled_blocks(self):

@@ -51,6 +51,16 @@ class TestLazyChurnSources:
         # Events past the horizon were not materialized wholesale.
         assert len(pulled) < 50
 
+    def test_non_churn_event_in_churn_source_is_rejected(self):
+        # Churn sources carry good churn only: a stray event is packed
+        # into a one-row block, and a bad departure cannot be packed.
+        # Scheduled bad departures go through ``sim.queue.push``.
+        sim, _ = build(
+            events=[GoodJoin(time=1.0), BadDeparture(time=2.0, ident="b")]
+        )
+        with pytest.raises(TypeError, match="BadDeparture"):
+            sim.run()
+
     def test_unordered_near_ties_are_handled(self):
         events = [GoodJoin(time=1.0), GoodJoin(time=1.0), GoodJoin(time=1.0)]
         sim, defense = build(events=events)

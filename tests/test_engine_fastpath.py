@@ -1,13 +1,17 @@
-"""Batch fast path vs per-event path: equivalence and engagement.
+"""The engine's block lane vs the per-event heap oracle.
 
-The engine's zero-heap block fast path must be *observably identical*
-to the per-event path: same spends, same peak bad fraction, same final
+The engine applies good churn in batches straight from blocks; it must
+be *observably identical* to :class:`tests.heap_oracle.HeapOracle`, an
+independent per-event ``heapq`` simulator that drives only the per-ID
+defense hooks: same spends, same peak bad fraction, same final
 population, same protocol counters -- for every defense, including the
 ones that override the batch hooks with amortized bookkeeping.  Only
 the path-diagnostic counters (queue traffic, ``churn_events_*``) may
 differ, because they describe how events were processed.
 """
 
+import ast
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -21,12 +25,12 @@ from repro.churn.generators import smooth_trace
 from repro.core.ergo import Ergo
 from repro.core.protocol import Defense
 from repro.experiments.runner import adversary_for
-from repro.sim import engine
 from repro.sim.blocks import ChurnBlock, blocks_from_events
-from repro.sim.engine import PATH_COUNTERS, Simulation, SimulationConfig
+from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.events import Callback, GoodJoin
 from repro.sim.null_defense import NullDefense
 from repro.sim.rng import RngRegistry
+from tests.heap_oracle import PATH_COUNTERS, HeapOracle
 
 DEFENSES = {
     "ergo": Ergo,
@@ -37,8 +41,12 @@ DEFENSES = {
 }
 
 
+#: the engine and its oracle, constructed with identical arguments
+SIMULATORS = {"engine": Simulation, "oracle": HeapOracle}
+
+
 def observable(result):
-    """The path-independent projection of a SimulationResult."""
+    """The path-independent projection of a run's result."""
     counters = {
         k: v for k, v in result.counters.items() if k not in PATH_COUNTERS
     }
@@ -51,8 +59,8 @@ def observable(result):
     )
 
 
-def run_network_sim(defense_name, fast, t_rate=50.0, horizon=150.0, n0=300,
-                    seed=11):
+def run_network_sim(defense_name, simulator, t_rate=50.0, horizon=150.0,
+                    n0=300, seed=11):
     """One gnutella-churn run with a defense-appropriate adversary."""
     registry = RngRegistry(seed=seed)
     scenario = NETWORKS["gnutella"].scenario(
@@ -60,8 +68,8 @@ def run_network_sim(defense_name, fast, t_rate=50.0, horizon=150.0, n0=300,
     )
     defense = DEFENSES[defense_name]()
     adversary = adversary_for(defense, t_rate)
-    sim = Simulation(
-        SimulationConfig(horizon=horizon, seed=seed, churn_fast_path=fast),
+    sim = SIMULATORS[simulator](
+        SimulationConfig(horizon=horizon, seed=seed),
         defense,
         scenario.events,
         adversary=adversary,
@@ -72,35 +80,28 @@ def run_network_sim(defense_name, fast, t_rate=50.0, horizon=150.0, n0=300,
 
 
 class TestNetworkEquivalence:
-    """Batched vs per-event rows across all defenses (satellite contract)."""
+    """Engine vs oracle rows across all defenses."""
 
     @pytest.mark.parametrize("name", list(DEFENSES))
     def test_paths_are_observably_identical(self, name):
-        fast = run_network_sim(name, fast=True)
-        heap = run_network_sim(name, fast=False)
-        assert observable(fast) == observable(heap)
+        engine = run_network_sim(name, "engine")
+        oracle = run_network_sim(name, "oracle")
+        assert observable(engine) == observable(oracle)
 
     def test_fast_path_engages_on_blocks(self):
-        result = run_network_sim("null", fast=True)
+        result = run_network_sim("null", "engine")
         assert result.counters["churn_events_fast"] > 0
 
-    def test_disabled_fast_path_uses_heap_only(self):
-        result = run_network_sim("null", fast=False)
-        assert result.counters["churn_events_fast"] == 0
-        assert result.counters["churn_events_heap"] > 0
-
     def test_event_totals_are_path_independent(self):
-        fast = run_network_sim("ergo", fast=True)
-        heap = run_network_sim("ergo", fast=False)
+        engine = run_network_sim("ergo", "engine")
+        oracle = run_network_sim("ergo", "oracle")
         for key in ("good_join_events", "good_departure_events"):
-            assert fast.counters[key] == heap.counters[key]
-        total_fast = (
-            fast.counters["churn_events_fast"] + fast.counters["churn_events_heap"]
+            assert engine.counters[key] == oracle.counters[key]
+        engine_total = (
+            engine.counters["churn_events_fast"]
+            + engine.counters["churn_events_heap"]
         )
-        total_heap = (
-            heap.counters["churn_events_fast"] + heap.counters["churn_events_heap"]
-        )
-        assert total_fast == total_heap
+        assert engine_total == oracle.counters["churn_events_heap"]
 
 
 class TestSmoothTraceEquivalence:
@@ -112,15 +113,33 @@ class TestSmoothTraceEquivalence:
         events = smooth_trace(n0=60, epoch_rates=[2.0, 4.0, 1.0], rng=rng)
         blocks = list(blocks_from_events(events, block_size=32))
         results = []
-        for fast in (True, False):
+        for simulator in SIMULATORS.values():
             defense = DEFENSES[name]()
-            sim = Simulation(
-                SimulationConfig(horizon=200.0, seed=5, churn_fast_path=fast),
-                defense,
-                blocks,
+            sim = simulator(
+                SimulationConfig(horizon=200.0, seed=5), defense, blocks
             )
             results.append(sim.run())
         assert observable(results[0]) == observable(results[1])
+
+    def test_sampling_grid_is_path_independent(self):
+        rng = np.random.default_rng(2)
+        events = smooth_trace(n0=40, epoch_rates=[2.0], rng=rng)
+        blocks = list(blocks_from_events(events, block_size=16))
+        series = []
+        for simulator in SIMULATORS.values():
+            sim = simulator(
+                SimulationConfig(horizon=50.0, sample_interval=3.0, seed=1),
+                NullDefense(),
+                blocks,
+            )
+            result = sim.run()
+            series.append(
+                (
+                    result.metrics.system_size.times.tolist(),
+                    result.metrics.system_size.values.tolist(),
+                )
+            )
+        assert series[0] == series[1]
 
 
 class RecordingDefense(Defense):
@@ -157,12 +176,10 @@ class RecordingDefense(Defense):
         self.log.append(("tick", now, None))
 
 
-def run_recording(blocks, fast, horizon=20.0, tick=1.0, callbacks=()):
+def run_recording(blocks, simulator, horizon=20.0, tick=1.0, callbacks=()):
     defense = RecordingDefense()
-    sim = Simulation(
-        SimulationConfig(
-            horizon=horizon, tick_interval=tick, seed=1, churn_fast_path=fast
-        ),
+    sim = SIMULATORS[simulator](
+        SimulationConfig(horizon=horizon, tick_interval=tick, seed=1),
         defense,
         blocks,
     )
@@ -173,28 +190,28 @@ def run_recording(blocks, fast, horizon=20.0, tick=1.0, callbacks=()):
 
 
 class TestTotalOrderPreserved:
-    """The batch boundaries reproduce the per-event total order exactly."""
+    """The batch boundaries reproduce the oracle's total order exactly."""
 
     def test_joins_departures_ticks_interleave_identically(self):
         # Short sessions force scheduled departures *between* later join
         # rows -- the dep-interleave batch cut must reproduce the exact
-        # ABC-model order the heap path produces.
+        # ABC-model order the oracle produces.
         times = [0.5, 0.9, 1.3, 1.7, 2.1, 2.5, 6.0]
         sessions = [0.6, 3.0, 0.5, float("nan"), 10.0, 0.45, 1.0]
         kinds = [0] * 7
         block = ChurnBlock(times, kinds, sessions=sessions)
-        fast_log = run_recording([block], fast=True)
-        heap_log = run_recording([block], fast=False)
-        assert fast_log == heap_log
+        engine_log = run_recording([block], "engine")
+        oracle_log = run_recording([block], "oracle")
+        assert engine_log == oracle_log
 
     def test_callbacks_win_seq_ties_against_block_rows(self):
         # A callback scheduled before the run at t=2.0 (priority 0) must
         # run before a block row at exactly t=2.0, while the tick at 2.0
-        # (priority 10) runs after -- in both paths.
+        # (priority 10) runs after -- in the engine and the oracle.
         block = ChurnBlock([1.5, 2.0, 2.0], [0, 0, 0])
         logs = [
-            run_recording([block], fast=fast, callbacks=[(2.0, "x")])
-            for fast in (True, False)
+            run_recording([block], simulator, callbacks=[(2.0, "x")])
+            for simulator in SIMULATORS
         ]
         assert logs[0] == logs[1]
         events_at_2 = [entry for entry in logs[0] if entry[1] == 2.0]
@@ -208,23 +225,23 @@ class TestTotalOrderPreserved:
 
         departures = [GoodDeparture(time=4.0 + 0.1 * i) for i in range(10)]
         blocks = list(blocks_from_events(joins + departures, block_size=8))
-        fast_log = run_recording(blocks, fast=True)
-        heap_log = run_recording(blocks, fast=False)
-        assert fast_log == heap_log
+        engine_log = run_recording(blocks, "engine")
+        oracle_log = run_recording(blocks, "oracle")
+        assert engine_log == oracle_log
 
     def test_same_instant_session_departure_ties(self):
         # A zero-length session lands a departure at *exactly* the next
-        # row's time.  The per-event pump admits every churn row due at
-        # an instant before the first event of that instant dispatches,
-        # so both joins precede the departure -- the fast path must
+        # row's time.  Every churn row due at an instant ranks before
+        # anything pushed during that instant (the oracle admits the
+        # rows first), so both joins precede the departure -- the block lane must
         # reproduce that order, not let the heap entry win the tie.
         block = ChurnBlock(
             [5.0, 5.0], [0, 0], sessions=[0.0, float("nan")]
         )
-        fast_log = run_recording([block], fast=True, tick=0.0)
-        heap_log = run_recording([block], fast=False, tick=0.0)
-        assert fast_log == heap_log
-        assert [e[0] for e in fast_log] == ["join", "join", "depart"]
+        engine_log = run_recording([block], "engine", tick=0.0)
+        oracle_log = run_recording([block], "oracle", tick=0.0)
+        assert engine_log == oracle_log
+        assert [e[0] for e in engine_log] == ["join", "join", "depart"]
 
     def test_same_instant_ties_across_kind_change(self):
         # join@5 (session 0 -> departure@5) followed by an explicit
@@ -236,24 +253,24 @@ class TestTotalOrderPreserved:
             sessions=[0.0, float("nan")],
             idents=[None, "missing"],
         )
-        fast_log = run_recording([block], fast=True, tick=0.0)
-        heap_log = run_recording([block], fast=False, tick=0.0)
-        assert fast_log == heap_log
+        engine_log = run_recording([block], "engine", tick=0.0)
+        oracle_log = run_recording([block], "oracle", tick=0.0)
+        assert engine_log == oracle_log
 
     def test_departure_landing_on_later_row_time(self):
         # The session is chosen so join@1's departure lands exactly on
-        # the fourth row's time.  The pump admits that row only after
-        # the departure is already resident (the pull bound shrinks to
-        # each pushed row's own time), so the departure wins the tie.
+        # the fourth row's time.  The oracle admits that row only after
+        # the departure is already resident (rows enter once nothing
+        # earlier is left in the heap), so the departure wins the tie.
         block = ChurnBlock(
             [1.0, 2.0, 3.0, 4.0],
             [0, 0, 0, 0],
             sessions=[3.0] + [float("nan")] * 3,
         )
-        fast_log = run_recording([block], fast=True, tick=0.0)
-        heap_log = run_recording([block], fast=False, tick=0.0)
-        assert fast_log == heap_log
-        churn = [(e[0], e[1]) for e in fast_log if e[0] != "tick"]
+        engine_log = run_recording([block], "engine", tick=0.0)
+        oracle_log = run_recording([block], "oracle", tick=0.0)
+        assert engine_log == oracle_log
+        churn = [(e[0], e[1]) for e in engine_log if e[0] != "tick"]
         assert churn[-2:] == [("depart", 4.0), ("join", 4.0)]
 
     def test_departure_tie_with_resident_tick(self):
@@ -266,30 +283,30 @@ class TestTotalOrderPreserved:
             [0, 0, 0, 0],
             sessions=[float("nan"), 0.6, float("nan"), float("nan")],
         )
-        fast_log = run_recording([block], fast=True, tick=1.0, horizon=3.0)
-        heap_log = run_recording([block], fast=False, tick=1.0, horizon=3.0)
-        assert fast_log == heap_log
-        churn = [(e[0], e[1]) for e in fast_log if e[0] != "tick"]
+        engine_log = run_recording([block], "engine", tick=1.0, horizon=3.0)
+        oracle_log = run_recording([block], "oracle", tick=1.0, horizon=3.0)
+        assert engine_log == oracle_log
+        churn = [(e[0], e[1]) for e in engine_log if e[0] != "tick"]
         assert churn[-2:] == [("depart", 0.8), ("join", 0.8)]
 
     def test_departure_run_spanning_instants_yields_to_scheduled_dep(self):
         # join@4 (session 1) schedules a departure for t=5; the explicit
         # departure run starting at t=4 must NOT extend through the t=5
         # rows -- the scheduled departure was pushed during instant 4,
-        # before the t=5 rows were pump-admitted, so it goes first.
+        # before the t=5 rows were admitted, so it goes first.
         block = ChurnBlock(
             [4.0, 4.0, 5.0, 5.0],
             [0, 1, 1, 1],
             sessions=[1.0] + [float("nan")] * 3,
             idents=[None, "a", "b", "c"],
         )
-        fast_log = run_recording([block], fast=True, tick=0.0)
-        heap_log = run_recording([block], fast=False, tick=0.0)
-        assert fast_log == heap_log
+        engine_log = run_recording([block], "engine", tick=0.0)
+        oracle_log = run_recording([block], "oracle", tick=0.0)
+        assert engine_log == oracle_log
 
     def test_mixed_event_and_block_streams(self):
         # ChurnScenario documents events as "events and/or churn blocks";
-        # both orderings must work in both modes.
+        # both orderings must work in the engine and the oracle.
         mixed_event_first = [
             GoodJoin(time=1.0, ident="e0"),
             ChurnBlock([2.0, 3.0], [0, 0], idents=["b0", "b1"]),
@@ -305,8 +322,8 @@ class TestTotalOrderPreserved:
             (mixed_block_first, 3),
         ):
             logs = [
-                run_recording(list(source), fast=fast, tick=0.0)
-                for fast in (True, False)
+                run_recording(list(source), simulator, tick=0.0)
+                for simulator in SIMULATORS
             ]
             assert logs[0] == logs[1]
             assert len([e for e in logs[0] if e[0] == "join"]) == expected_joins
@@ -325,7 +342,7 @@ class TestTotalOrderPreserved:
 
 
 class TestRandomizedOrderEquivalence:
-    """Property-style fuzz: collision-heavy traces, both paths, same log.
+    """Property-style fuzz: collision-heavy traces, same log as the oracle.
 
     Times are drawn on a coarse grid so exact ties (rows vs scheduled
     session departures, rows vs ticks) occur constantly -- the regime
@@ -353,57 +370,35 @@ class TestRandomizedOrderEquivalence:
         tick = float(r.choice([0.0, 0.5, 1.0]))
         sample = float(r.choice([1.0, 3.0, 50.0]))
         logs = []
-        for fast in (True, False):
+        for simulator in SIMULATORS.values():
             defense = RecordingDefense()
-            sim = Simulation(
+            sim = simulator(
                 SimulationConfig(
                     horizon=10.0, tick_interval=tick, seed=1,
-                    sample_interval=sample, churn_fast_path=fast,
+                    sample_interval=sample,
                 ),
                 defense,
                 blocks,
             )
-            sim.run()
-            logs.append(defense.log)
+            sampled = sim.run().metrics.system_size
+            # The sampled series pins the sample rule as well: a sample
+            # taken at the wrong point of a batch shows up as a
+            # different (time, size) pair.
+            logs.append(
+                (defense.log, sampled.times.tolist(), sampled.values.tolist())
+            )
         assert logs[0] == logs[1]
 
 
-class TestModuleDefaultToggle:
-    def test_fast_path_default_flag(self):
-        block = ChurnBlock([1.0, 2.0], [0, 0])
-        prev = engine.FAST_PATH_DEFAULT
-        engine.FAST_PATH_DEFAULT = False
-        try:
-            sim = Simulation(
-                SimulationConfig(horizon=5.0, tick_interval=0.0, seed=1),
-                NullDefense(),
-                [block],
-            )
-            result = sim.run()
-        finally:
-            engine.FAST_PATH_DEFAULT = prev
-        assert result.counters["churn_events_fast"] == 0
-        assert result.counters["good_join_events"] == 2
-
-    def test_sampling_grid_is_path_independent(self):
-        rng = np.random.default_rng(2)
-        events = smooth_trace(n0=40, epoch_rates=[2.0], rng=rng)
-        blocks = list(blocks_from_events(events, block_size=16))
-        series = []
-        for fast in (True, False):
-            sim = Simulation(
-                SimulationConfig(
-                    horizon=50.0, sample_interval=3.0, seed=1,
-                    churn_fast_path=fast,
-                ),
-                NullDefense(),
-                blocks,
-            )
-            result = sim.run()
-            series.append(
-                (
-                    result.metrics.system_size.times.tolist(),
-                    result.metrics.system_size.values.tolist(),
-                )
-            )
-        assert series[0] == series[1]
+class TestOracleIndependence:
+    def test_oracle_imports_nothing_from_the_engine(self):
+        source = Path(__file__).with_name("heap_oracle.py").read_text()
+        modules = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+        assert modules
+        assert not any(m.startswith("repro.sim.engine") for m in modules)
+        assert "repro.sim" not in modules  # re-exports the engine

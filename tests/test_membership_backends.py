@@ -177,10 +177,12 @@ class TestSimulationEquivalence:
     def test_network_runs_match(self, defense, fast, use_backend):
         from tests.test_engine_fastpath import observable, run_network_sim
 
+        # fast=False runs the per-event heap oracle instead of the engine.
+        simulator = "engine" if fast else "oracle"
         use_backend("arena")
-        arena = run_network_sim(defense, fast=fast)
+        arena = run_network_sim(defense, simulator)
         use_backend("dict")
-        dict_run = run_network_sim(defense, fast=fast)
+        dict_run = run_network_sim(defense, simulator)
         assert observable(arena) == observable(dict_run)
 
     @pytest.mark.parametrize("defense", ["sybilcontrol", "remp"])
@@ -188,9 +190,9 @@ class TestSimulationEquivalence:
         from tests.test_engine_fastpath import observable, run_network_sim
 
         use_backend("arena")
-        arena = run_network_sim(defense, fast=True)
+        arena = run_network_sim(defense, "engine")
         use_backend("dict")
-        dict_run = run_network_sim(defense, fast=True)
+        dict_run = run_network_sim(defense, "engine")
         assert observable(arena) == observable(dict_run)
 
 

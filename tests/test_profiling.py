@@ -88,17 +88,14 @@ class TestByteIdentityMatrix:
     """Profiling on vs off: the row must not change by a single byte."""
 
     @pytest.mark.parametrize("defense", ["Null", "ERGO", "SybilControl"])
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "heap"])
     @pytest.mark.parametrize("backend", ["arena", "dict"])
     def test_row_identical_with_and_without_profiling(
-        self, use_backend, backend, fast, defense
+        self, use_backend, backend, defense
     ):
         use_backend(backend)
         spec, point = make_point(defense)
-        base = run_spec_point(spec, point, churn_fast_path=fast)
-        profiled = run_spec_point(
-            spec, point, churn_fast_path=fast, profile=ProfilePolicy()
-        )
+        base = run_spec_point(spec, point)
+        profiled = run_spec_point(spec, point, profile=ProfilePolicy())
         breakdown = profiled.pop("profile")
         assert breakdown["spans"], "profiled run produced no spans"
         assert json.dumps(profiled, sort_keys=True) == json.dumps(

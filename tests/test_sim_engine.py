@@ -1,5 +1,7 @@
 """Tests for the event queue and the simulation driver."""
 
+import signal
+from contextlib import contextmanager
 from typing import Optional
 
 import pytest
@@ -183,6 +185,22 @@ class TestSimulation:
         assert result.counters["good_join_events"] == 1
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail (instead of hanging the suite) if the body outlives ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"run did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestLazyTicks:
     """One recurring Tick is re-armed instead of pre-scheduling them all."""
 
@@ -198,6 +216,18 @@ class TestLazyTicks:
     def test_all_ticks_still_fire(self):
         result, defense = self._run(horizon=1000.0, tick=1.0)
         assert defense.ticks == 1000
+
+    def test_pushed_tick_with_zero_interval_fires_once(self):
+        # A non-positive interval disables re-arming for externally
+        # pushed ticks too; re-arming at the same instant never ends.
+        defense = RecordingDefense()
+        sim = Simulation(
+            SimulationConfig(horizon=10.0, tick_interval=0.0), defense, []
+        )
+        sim.queue.push(Tick(time=1.0), priority=10)
+        with deadline(20):
+            sim.run()
+        assert defense.ticks == 1
 
     def test_heap_stays_shallow(self):
         # Pre-scheduling would hold ~1000 ticks resident; lazy re-arming

@@ -57,7 +57,7 @@ def make_point(defense: str, seed: int = 11):
     return spec, point
 
 
-def run_with_snapshots(defense="Null", policy=None, fast=None):
+def run_with_snapshots(defense="Null", policy=None):
     spec, point = make_point(defense)
     if policy is None:
         policy = SnapshotPolicy(sim_interval=5.0)
@@ -65,7 +65,6 @@ def run_with_snapshots(defense="Null", policy=None, fast=None):
     row = run_spec_point(
         spec,
         point,
-        churn_fast_path=fast,
         snapshot_policy=policy,
         on_snapshot=snaps.append,
     )
@@ -151,19 +150,17 @@ class TestByteIdentityMatrix:
     """Snapshots on vs off: the row must not change by a single byte."""
 
     @pytest.mark.parametrize("defense", ["Null", "ERGO", "SybilControl"])
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "heap"])
     @pytest.mark.parametrize("backend", ["arena", "dict"])
     def test_row_identical_with_and_without_snapshots(
-        self, use_backend, backend, fast, defense
+        self, use_backend, backend, defense
     ):
         use_backend(backend)
         spec, point = make_point(defense)
-        base = run_spec_point(spec, point, churn_fast_path=fast)
+        base = run_spec_point(spec, point)
         snaps = []
         live = run_spec_point(
             spec,
             point,
-            churn_fast_path=fast,
             snapshot_policy=SnapshotPolicy(sim_interval=5.0, every_events=5_000),
             on_snapshot=snaps.append,
         )
