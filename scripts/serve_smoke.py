@@ -12,7 +12,10 @@ then walks the whole lifecycle the ISSUE acceptance demands:
 3. ``GET /jobs/<id>/live`` is attached mid-job and must stream at
    least one ``event: snapshot`` SSE frame (gap-free seqs, terminal
    frame matching the persisted row) before the ``event: done``;
-4. the job is polled to ``succeeded`` and its rows are served back;
+4. the job is polled to ``succeeded`` over one keep-alive connection,
+   whose median poll round trip must stay under 20 ms (a missing
+   ``TCP_NODELAY`` costs ~40 ms of delayed ACK per request), and its
+   rows are served back;
 5. ``GET /metrics`` exposes the Prometheus counters;
 6. SIGTERM drains the service, which must exit 0 within the drain
    timeout.
@@ -22,10 +25,12 @@ Stdlib only; exits non-zero (with the service log) on any violation.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,6 +41,10 @@ import urllib.request
 
 POLL_TIMEOUT_S = 180.0
 DRAIN_TIMEOUT_S = 20.0
+#: Status-poll period.  It must stay well under ~50 ms: after a longer
+#: idle gap the client ACKs at once and a Nagle stall cannot show.
+POLL_PERIOD_S = 0.02
+POLL_RTT_LIMIT_S = 0.020
 
 JOB = {
     "scenarios": ["flash-crowd"],
@@ -66,6 +75,32 @@ def request(method: str, url: str, payload=None, timeout: float = 15.0):
             return resp.status, resp.read().decode("utf-8")
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read().decode("utf-8")
+
+
+def poll_job(url: str, job_id: str):
+    """Poll ``GET /jobs/<id>`` on one keep-alive connection until the job
+    finishes; return (record, per-poll round trips, connection reused)."""
+    conn = http.client.HTTPConnection(url[len("http://"):], timeout=15.0)
+    conn.connect()  # time request round trips, not the TCP handshake
+    deadline = time.time() + POLL_TIMEOUT_S
+    record: dict = {}
+    rtts: list = []
+    socks: set = set()
+    try:
+        while time.time() < deadline:
+            started = time.perf_counter()
+            conn.request("GET", f"/jobs/{job_id}")
+            resp = conn.getresponse()
+            body = resp.read().decode("utf-8")
+            rtts.append(time.perf_counter() - started)
+            socks.add(conn.sock)  # None once the server closed it
+            record = json.loads(body)
+            if resp.status == 200 and record["state"] in ("succeeded", "failed"):
+                break
+            time.sleep(POLL_PERIOD_S)
+    finally:
+        conn.close()
+    return record, rtts, len(socks) == 1
 
 
 def read_live(url: str, job_id: str, frames: list) -> None:
@@ -133,16 +168,19 @@ def main() -> None:
         )
         live_reader.start()
 
-        deadline = time.time() + POLL_TIMEOUT_S
-        record = {}
-        while time.time() < deadline:
-            status, body = request("GET", f"{url}/jobs/{job_id}")
-            record = json.loads(body)
-            if status == 200 and record["state"] in ("succeeded", "failed"):
-                break
-            time.sleep(0.5)
+        record, rtts, reused = poll_job(url, job_id)
         if record.get("state") != "succeeded":
             fail(f"job did not succeed: {record}", "".join(lines))
+        if not reused:
+            fail("status polls did not share one keep-alive connection",
+                 "".join(lines))
+        median_rtt = statistics.median(rtts)
+        if median_rtt >= POLL_RTT_LIMIT_S:
+            fail(f"median keep-alive poll round trip {median_rtt * 1e3:.1f} ms"
+                 f" >= {POLL_RTT_LIMIT_S * 1e3:.0f} ms over {len(rtts)} polls",
+                 "".join(lines))
+        print(f"serve-smoke: {len(rtts)} status polls on one keep-alive "
+              f"connection, median round trip {median_rtt * 1e3:.1f} ms")
         summary = record["summary"]
         if summary["pool_rebuilds"] + summary["retries"] < 1:
             fail(f"injected crash left no recovery trace: {summary}",

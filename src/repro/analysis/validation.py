@@ -26,32 +26,49 @@ from repro.sim.engine import SimulationResult
 
 @dataclass(frozen=True)
 class Check:
-    """One validated claim."""
+    """One validated claim.
+
+    A ``skipped`` check was not evaluated (the run is outside the
+    claim's regime): it neither passes nor fails, and its ``detail``
+    starts with ``skipped:``.
+    """
 
     name: str
     passed: bool
     detail: str
+    skipped: bool = False
+
+    @classmethod
+    def skip(cls, name: str, reason: str) -> "Check":
+        return cls(name=name, passed=False, detail=f"skipped: {reason}",
+                   skipped=True)
+
+    @property
+    def status(self) -> str:
+        if self.skipped:
+            return "SKIP"
+        return "PASS" if self.passed else "FAIL"
 
 
 @dataclass
 class ValidationReport:
-    """All checks for one run."""
+    """All checks for one run; skipped checks count toward neither side."""
 
     checks: List[Check]
 
     @property
     def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+        return not self.failures()
 
     def failures(self) -> List[Check]:
-        return [check for check in self.checks if not check.passed]
+        return [check for check in self.checks
+                if not check.passed and not check.skipped]
 
     def render(self) -> str:
-        lines = []
-        for check in self.checks:
-            status = "PASS" if check.passed else "FAIL"
-            lines.append(f"[{status}] {check.name}: {check.detail}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"[{check.status}] {check.name}: {check.detail}"
+            for check in self.checks
+        )
 
 
 def validate_run(
@@ -77,7 +94,8 @@ def validate_run(
     the theorem's regime -- when a flood burst ``√(2T)`` exceeds one
     purge threshold ``n·purge_fraction``, every burst forces a purge
     cycle and the algorithm is (correctly) linear, outside the bound's
-    asymptotic applicability (the theorem assumes n₀ ≥ 6000).
+    asymptotic applicability (the theorem assumes n₀ ≥ 6000), and the
+    check is reported as skipped rather than passed.
     """
     checks: List[Check] = []
     if join_rate is None:
@@ -119,14 +137,11 @@ def validate_run(
         )
     else:
         checks.append(
-            Check(
-                name="theorem1.upper_bound",
-                passed=True,
-                detail=(
-                    f"skipped: flood burst √(2T)={burst:.0f} exceeds the "
-                    f"purge threshold {threshold:.0f} (population too "
-                    "small for the asymptotic regime)"
-                ),
+            Check.skip(
+                "theorem1.upper_bound",
+                f"flood burst √(2T)={burst:.0f} exceeds the purge "
+                f"threshold {threshold:.0f} (population too small for "
+                "the asymptotic regime)",
             )
         )
 

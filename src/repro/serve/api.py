@@ -33,6 +33,13 @@ terminal ``event: done`` when the job leaves ``running`` -- so
 switches the same route to a single long-poll JSON batch (snapshots
 with ``seq > N``, waiting up to ``LIVE_POLL_MAX_WAIT_S`` for the first
 new one), the fallback for clients that cannot hold a stream open.
+
+Responses go out with ``TCP_NODELAY`` set (``disable_nagle_algorithm``
+on :class:`ServeHandler`).  Each response is two writes -- the headers,
+then the body -- and with Nagle's algorithm on, the small body segment
+waits for the client's delayed ACK of the headers, a ~40 ms stall on
+every keep-alive request.  The SSE loop likewise gathers each poll's
+frames into one write, so a batch of snapshots goes out in one send.
 """
 
 from __future__ import annotations
@@ -71,6 +78,11 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  A response leaves in
+    # two writes (headers at end_headers(), then the body); with Nagle
+    # on, the body waits for the client's delayed ACK of the headers,
+    # about 40 ms on every keep-alive request.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -275,35 +287,33 @@ class ServeHandler(BaseHTTPRequestHandler):
         while True:
             record = store.get(job_id)
             done = record is None or record.state not in ("queued", "running")
-            wrote = False
+            # One write per poll: with Nagle off every write leaves as
+            # its own send, so the iteration's frames are joined first.
+            frames = []
             for seq, doc in store.snapshots(job_id, after=last_seq):
                 last_seq = seq
                 payload = json.dumps(doc, sort_keys=True)
-                self.wfile.write(
-                    f"id: {seq}\nevent: snapshot\ndata: {payload}\n\n"
-                    .encode("utf-8")
-                )
-                wrote = True
+                frames.append(f"id: {seq}\nevent: snapshot\ndata: {payload}\n\n")
+            now = time.monotonic()
             if done:
                 state = record.state if record is not None else "deleted"
                 payload = json.dumps(
                     {"job": job_id, "state": state, "last_seq": last_seq},
                     sort_keys=True,
                 )
-                self.wfile.write(
-                    f"event: done\ndata: {payload}\n\n".encode("utf-8")
-                )
-                self.wfile.flush()
-                return
-            now = time.monotonic()
-            if wrote:
+                frames.append(f"event: done\ndata: {payload}\n\n")
+            elif frames:
                 next_ping = now + LIVE_SSE_PING_S
             elif now >= next_ping:
                 # Keep-alive comment: lets proxies and the client's TCP
                 # stack notice a dead peer during quiet stretches.
-                self.wfile.write(b": ping\n\n")
+                frames.append(": ping\n\n")
                 next_ping = now + LIVE_SSE_PING_S
-            self.wfile.flush()
+            if frames:
+                self.wfile.write("".join(frames).encode("utf-8"))
+                self.wfile.flush()
+            if done:
+                return
             time.sleep(LIVE_SSE_POLL_S)
 
     @staticmethod

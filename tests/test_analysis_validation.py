@@ -4,7 +4,7 @@ import pytest
 
 from tests.helpers import run_small_sim
 from repro.adversary.strategies import GreedyJoinAdversary, LowerBoundAdversary
-from repro.analysis.validation import validate_run
+from repro.analysis.validation import Check, ValidationReport, validate_run
 from repro.core.ergo import Ergo
 
 
@@ -53,3 +53,27 @@ def test_violation_detected():
     report = validate_run(result)
     assert not report.passed
     assert any(c.name == "lemma9.bad_fraction" for c in report.failures())
+
+
+def test_out_of_regime_theorem1_is_skipped_not_passed():
+    """√(2T)=100 is above the purge threshold of a ~200-ID system."""
+    result, _ = run_small_sim(
+        Ergo(), adversary=GreedyJoinAdversary(rate=5_000.0),
+        horizon=100.0, n0=200,
+    )
+    report = validate_run(result)
+    check = next(c for c in report.checks if c.name == "theorem1.upper_bound")
+    assert check.skipped
+    assert not check.passed
+    assert check.detail.startswith("skipped:")
+    assert "[SKIP] theorem1.upper_bound" in report.render()
+    assert check not in report.failures()
+    assert report.passed, report.render()
+
+
+def test_skipped_checks_count_toward_neither_side():
+    skipped = Check.skip("a", "out of regime")
+    assert ValidationReport([skipped]).passed
+    report = ValidationReport([skipped, Check("b", False, "broken")])
+    assert not report.passed
+    assert [c.name for c in report.failures()] == ["b"]

@@ -3,11 +3,15 @@
 ``make_server`` binds port 0; every test speaks actual HTTP/1.1 via
 urllib against a live ``ThreadingHTTPServer``, so status codes,
 headers (``Retry-After``), and JSON bodies are tested end to end
-without subprocesses.
+without subprocesses.  ``TestKeepAlive`` instead holds one
+``http.client`` connection open across requests, the way a polling
+client does.
 """
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -173,8 +177,6 @@ class TestReads:
 
 class TestEndToEnd:
     def test_submit_poll_rows_over_http(self, service):
-        import time
-
         base, supervisor = service
         supervisor.start()  # now actually run jobs
         _, _, created = request(base, "/jobs", TINY_JOB)
@@ -192,3 +194,57 @@ class TestEndToEnd:
         assert rows["count"] == 1
         assert rows["rows"][0]["row"]["scenario"] == "flash-crowd"
         supervisor.drain(10.0)
+
+
+class TestKeepAlive:
+    """Many requests over one persistent connection.
+
+    A response is two writes (headers, then body).  Unless the handler
+    sets TCP_NODELAY, the body waits for the client's delayed ACK, which
+    adds about 40 ms to every keep-alive request (20 requests: ~0.9 s).
+    """
+
+    @staticmethod
+    def _get(conn, path):
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+
+    def test_requests_on_one_connection_do_not_stall(self, service):
+        base, supervisor = service
+        conn = http.client.HTTPConnection(base[len("http://"):], timeout=10)
+        try:
+            self._get(conn, "/healthz")  # connect outside the timed loop
+            sock = conn.sock
+            started = time.perf_counter()
+            for _ in range(20):
+                status, health = self._get(conn, "/healthz")
+                assert status == 200 and health["status"] == "ok"
+            elapsed = time.perf_counter() - started
+            assert conn.sock is sock, "server closed the keep-alive socket"
+            assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
+
+            # A whole job over the same connection: POST, polls, rows.
+            supervisor.start()
+            body = json.dumps(TINY_JOB)
+            conn.request("POST", "/jobs", body=body,
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            created = json.loads(resp.read())
+            assert resp.status == 201
+            job_id = created["id"]
+            deadline = time.monotonic() + 60.0
+            state = created["state"]
+            while state not in ("succeeded", "failed"):
+                assert time.monotonic() < deadline, "job never finished"
+                time.sleep(0.05)
+                status, doc = self._get(conn, f"/jobs/{job_id}")
+                assert status == 200
+                state = doc["state"]
+            assert state == "succeeded"
+            status, rows = self._get(conn, f"/jobs/{job_id}/rows")
+            assert status == 200 and rows["count"] == 1
+            assert conn.sock is sock
+        finally:
+            conn.close()
+            supervisor.drain(10.0)
