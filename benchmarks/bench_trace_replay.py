@@ -47,9 +47,9 @@ TRACE_NAME = "synthetic-flap-xl"
 #: Minimum events the generated trace must deliver (the "Tor-scale" bar).
 MIN_TRACE_EVENTS = 1_000_000
 
-#: Wall budget per defense run (generous for CI; single-digit tens of
-#: seconds on a developer box, dominated by the two streaming CSV
-#: passes -- workload summary + engine).
+#: Wall budget per defense run (generous for CI; single-digit seconds
+#: on a developer box, dominated by the engine's one streaming CSV pass,
+#: which the workload summary rides).
 BUDGET_S = 180.0
 
 #: Peak tracemalloc budget for the memory-instrumented run.  A fully

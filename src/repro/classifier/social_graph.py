@@ -11,10 +11,12 @@ number of attack edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set
+from typing import TYPE_CHECKING, List, Set
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -48,6 +50,11 @@ def synthesize_social_graph(
     mixing), matching the synthetic setups used to evaluate SybilFuse
     [41].  Sybil nodes are relabeled to follow the benign nodes.
     """
+    # Imported here, not at module level: the classifier package rides
+    # along with every ``repro`` import, and only this function needs
+    # networkx (about 0.1 s of start-up on top of the package's own).
+    import networkx as nx
+
     if benign_size < 4 or sybil_size < 4:
         raise ValueError("regions must have at least 4 nodes each")
     if attack_edges < 1:

@@ -20,9 +20,10 @@ in, so a (spec, seed) pair compiles to a bit-identical workload.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +59,41 @@ from repro.sim.events import BadDepartureBatch, Event, GoodDeparture, GoodJoin
 DATA_DIR = PACKAGED_DATA_DIR
 
 
+class _ShapeTally:
+    """Workload shape of one block pass (trace side only).
+
+    :meth:`walk` is the pass itself.  It lives here rather than on
+    :class:`CompiledScenario`, which stores the pass: a suspended
+    generator then holds the tally and the parts list, not its owner,
+    so a pass left open forms no reference cycle.
+    """
+
+    __slots__ = ("joins", "departures", "peak", "done")
+
+    def __init__(self) -> None:
+        self.joins = 0
+        self.departures = 0
+        # Compiled block streams are globally time-sorted (enforced by
+        # ``_check_sorted``), which is exactly the tracker's contract.
+        self.peak = SortedPeakJoins()
+        #: set once the pass has yielded its last block
+        self.done = False
+
+    def walk(self, parts: List) -> Iterator[ChurnBlock]:
+        """Flatten churn parts into one block stream, tallying each block."""
+        for part in parts:
+            for block in (part,) if isinstance(part, ChurnBlock) else part:
+                kinds = block.kinds
+                block_joins = int(np.count_nonzero(kinds == JOIN))
+                self.joins += block_joins
+                self.departures += len(block) - block_joins
+                # Peak join rate: max joins falling into any 1-second bin.
+                if block_joins:
+                    self.peak.add_block(block.times[kinds == JOIN])
+                yield block
+        self.done = True
+
+
 @dataclass
 class CompiledScenario:
     """A runnable workload: what the simulation engine consumes.
@@ -68,8 +104,10 @@ class CompiledScenario:
     :class:`~repro.traces.reader.TraceBlockStream` segments (streaming
     ``TraceReplay`` phases).  Consumers iterate :meth:`iter_blocks`,
     which flattens both shapes into one lazy block stream -- a lazy
-    segment is parsed from disk only as the engine (or the summary)
-    walks past it, so trace length never bounds memory.
+    segment is parsed from disk only as the engine walks past it, so
+    trace length never bounds memory.  The workload summary rides that
+    same pass (see :meth:`summary`), so a simulated point reads its
+    trace once.
     """
 
     spec: ScenarioSpec
@@ -82,41 +120,49 @@ class CompiledScenario:
     #: compile-time anomalies (e.g. fraction phases clamped at small
     #: ``--n0-scale``), surfaced through :meth:`summary` and the CLI
     warnings: List[str] = dataclass_field(default_factory=list)
+    #: the latest :meth:`iter_blocks` pass and its running shape tally
+    _pass: Optional[Tuple[Iterator[ChurnBlock], _ShapeTally]] = dataclass_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def iter_blocks(self):
-        """One lazy, time-sorted block stream over all churn parts."""
-        for part in self.blocks:
-            if isinstance(part, ChurnBlock):
-                yield part
-            else:
-                yield from part
+    def iter_blocks(self) -> Iterator[ChurnBlock]:
+        """One lazy, time-sorted block stream over all churn parts.
+
+        Every block is tallied into the workload shape as it is
+        yielded.  Each call starts a fresh pass with a fresh tally, and
+        :meth:`summary` reads the latest one.
+        """
+        tally = _ShapeTally()
+        blocks = tally.walk(self.blocks)
+        self._pass = (blocks, tally)
+        return blocks
 
     def summary(self) -> dict:
         """Workload-shape statistics (trace side only, defense-free).
 
-        Streams: lazy trace segments are re-read block by block, so the
-        summary of a million-event replay costs one bounded-memory pass
-        over the file, not a materialization.
+        Reads the tally of the latest :meth:`iter_blocks` pass instead
+        of walking the churn again: a pass that ran to the end is read
+        as is, a pass its consumer left early (the engine stopping at
+        the horizon) is finished on the same iterator, and with no pass
+        yet the summary makes one itself.  Every case tallies each block
+        once, in stream order, so the result does not depend on how far
+        a consumer got.
         """
-        joins = 0
-        departures = 0
-        # Compiled block streams are globally time-sorted (enforced by
-        # ``_check_sorted``), which is exactly the tracker's contract.
-        peak = SortedPeakJoins()
-        for block in self.iter_blocks():
-            kinds = block.kinds
-            block_joins = int(np.count_nonzero(kinds == JOIN))
-            joins += block_joins
-            departures += len(block) - block_joins
-            # Peak join rate: max joins falling into any 1-second bin.
-            if block_joins:
-                peak.add_block(block.times[kinds == JOIN])
+        if self._pass is None:
+            self.iter_blocks()
+        blocks, tally = self._pass
+        deque(blocks, maxlen=0)
+        if not tally.done:
+            # The pass was closed midway (a closed or failed generator
+            # cannot be resumed), so its tally is short: walk afresh.
+            self._pass = None
+            return self.summary()
         return {
             "horizon": self.horizon,
             "initial_members": len(self.initial),
-            "good_joins": joins,
-            "good_departures": departures,
-            "peak_join_rate": peak.result(),
+            "good_joins": tally.joins,
+            "good_departures": tally.departures,
+            "peak_join_rate": tally.peak.result(),
             "scheduled_bad_departure_batches": len(self.scheduled),
             "warnings": list(self.warnings),
         }
@@ -338,10 +384,10 @@ class _Compiler:
         registry (names, packaged fixtures, plain paths).  The default
         streaming form appends a re-iterable
         :class:`~repro.traces.reader.TraceBlockStream` part -- the file
-        is parsed only when the engine (or the summary) consumes it, so
-        replay memory is bounded by the block size, not the trace.  The
-        eager form (``streaming=False``) keeps the historical
-        load-sort-pack behavior and feeds the population estimate.
+        is parsed only as a block pass consumes it, so replay memory is
+        bounded by the block size, not the trace.  The eager form
+        (``streaming=False``) keeps the historical load-sort-pack
+        behavior and feeds the population estimate.
         """
         path = resolve_trace(phase.path)
         if phase.streaming is not False:

@@ -168,10 +168,12 @@ class TraceBlockStream:
 
     This is what the scenario compiler stores for a streaming
     :class:`~repro.scenarios.spec.TraceReplay` phase: each iteration
-    re-opens the file and yields fresh blocks, so the workload summary
-    and the engine can both walk the trace without either one
-    materializing it.  ``origin`` is fixed at construction (the first
-    row's time), making every pass identical.
+    re-opens the file and yields fresh blocks, so the trace is never
+    materialized.  A simulated point makes one pass -- the engine's,
+    which the workload summary rides (see
+    :meth:`~repro.scenarios.compile.CompiledScenario.summary`); tests
+    and tools may make more.  ``origin`` is fixed at construction (the
+    first row's time), making every pass identical.
     """
 
     __slots__ = ("path", "start", "time_scale", "duration", "block_size", "origin")

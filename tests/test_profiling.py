@@ -396,7 +396,8 @@ class TestServeProfile:
                 urllib.request.urlopen(
                     f"{base}/jobs/{'d' * 12}/profile", timeout=10
                 )
-            assert info.value.code == 404
+            with info.value:
+                assert info.value.code == 404
         finally:
             server.shutdown()
             server.server_close()

@@ -11,15 +11,18 @@ compile warnings.
 import numpy as np
 import pytest
 
+from repro.scenarios.catalog import get_scenario, scenario_names
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.spec import (
     MassExodus,
     PartitionRejoin,
     ScenarioSpec,
     SessionSpec,
+    Silence,
     SteadyState,
+    TraceReplay,
 )
-from repro.sim.blocks import DEPART
+from repro.sim.blocks import DEPART, JOIN, ChurnBlock
 
 
 def tiny_spec(phase):
@@ -167,3 +170,110 @@ class TestSybilExodusStaging:
         # Equal 25-ID stages, fully drained by the last batch.
         assert remaining == [75, 50, 25, 0]
         assert result.counters["bad_departure_events"] == 100
+
+
+# -- single-pass workload summary -------------------------------------
+
+_STREAMED_REPLAY = ScenarioSpec(
+    name="streamed-replay",
+    description="streamed replay between generated phases",
+    phases=(
+        SteadyState(duration=30.0),
+        TraceReplay(path="tor_relay_flap.csv", duration=400.0),
+        Silence(duration=20.0),
+    ),
+    n0=40,
+)
+
+
+def _compile_small(name):
+    if name == _STREAMED_REPLAY.name:
+        spec = _STREAMED_REPLAY
+    else:
+        spec = get_scenario(name)
+    compiled = compile_scenario(spec, np.random.default_rng(5), n0_scale=0.1)
+    for part in compiled.blocks:
+        if not isinstance(part, ChurnBlock):
+            # Many small blocks, so a partial pass stops mid-trace.
+            part.block_size = 16
+    return compiled
+
+
+def _shape_from_parts(compiled):
+    """Oracle: the tallied keys computed straight from the parts."""
+    blocks = []
+    for part in compiled.blocks:
+        blocks.extend([part] if isinstance(part, ChurnBlock) else list(part))
+    kinds = np.concatenate([b.kinds for b in blocks])
+    times = np.concatenate([b.times for b in blocks])
+    join_secs = np.floor(times[kinds == JOIN]).astype(np.int64)
+    per_second = np.unique(join_secs, return_counts=True)[1]
+    return {
+        "good_joins": int(np.count_nonzero(kinds == JOIN)),
+        "good_departures": int(np.count_nonzero(kinds == DEPART)),
+        "peak_join_rate": int(per_second.max()) if len(per_second) else 0,
+    }
+
+
+def _take_one(compiled):
+    next(compiled.iter_blocks())
+
+
+def _full(compiled):
+    for _ in compiled.iter_blocks():
+        pass
+
+
+def _two_full(compiled):
+    _full(compiled)
+    _full(compiled)
+
+
+def _partial_then_full(compiled):
+    _take_one(compiled)
+    _full(compiled)
+
+
+def _closed_midway(compiled):
+    blocks = compiled.iter_blocks()
+    next(blocks)
+    blocks.close()
+
+
+def _summary_first(compiled):
+    compiled.summary()
+
+
+_PASSES = {
+    "no-pass": lambda compiled: None,
+    "full": _full,
+    "partial": _take_one,
+    "two-full": _two_full,
+    "partial-then-full": _partial_then_full,
+    "closed-midway": _closed_midway,
+    "summary-twice": _summary_first,
+}
+
+
+class TestSinglePassSummary:
+    """``summary()`` reads the tally of the engine's own block pass, so
+    it must come out the same however far that pass got."""
+
+    @pytest.mark.parametrize("name", [*scenario_names(), _STREAMED_REPLAY.name])
+    def test_summary_independent_of_prior_passes(self, name):
+        expected = _compile_small(name).summary()
+        oracle = _shape_from_parts(_compile_small(name))
+        assert {k: expected[k] for k in oracle} == oracle
+        for label, drive in _PASSES.items():
+            compiled = _compile_small(name)
+            drive(compiled)
+            assert compiled.summary() == expected, label
+
+    def test_partial_pass_is_finished_on_the_same_iterator(self):
+        compiled = _compile_small(_STREAMED_REPLAY.name)
+        blocks = compiled.iter_blocks()
+        next(blocks)
+        compiled.summary()
+        # The summary drained the consumer's iterator rather than
+        # opening a second pass.
+        assert next(blocks, None) is None

@@ -61,7 +61,8 @@ def request(base, path, payload=None, method=None):
         with urllib.request.urlopen(req, timeout=10) as resp:
             raw, status, info = resp.read(), resp.status, resp.headers
     except urllib.error.HTTPError as exc:
-        raw, status, info = exc.read(), exc.code, exc.headers
+        with exc:  # an HTTPError owns the response socket
+            raw, status, info = exc.read(), exc.code, exc.headers
     if info.get_content_type() == "application/json":
         return status, info, json.loads(raw)
     return status, info, raw.decode()
@@ -95,7 +96,8 @@ class TestSubmission:
         )
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=10)
-        assert info.value.code == 400
+        with info.value:
+            assert info.value.code == 400
 
     def test_empty_body_is_400(self, service):
         base, _ = service

@@ -64,7 +64,8 @@ def request(base, path, payload=None, method=None):
         with urllib.request.urlopen(req, timeout=30) as resp:
             raw, status, info = resp.read(), resp.status, resp.headers
     except urllib.error.HTTPError as exc:
-        raw, status, info = exc.read(), exc.code, exc.headers
+        with exc:  # an HTTPError owns the response socket
+            raw, status, info = exc.read(), exc.code, exc.headers
     if info.get_content_type() == "application/json":
         return status, info, json.loads(raw)
     return status, info, raw.decode()

@@ -69,6 +69,26 @@ class TestByteIdenticalMetrics:
         assert eager.summary() == streamed.summary()
 
 
+class TestSinglePass:
+    def test_point_reads_its_trace_once(self, monkeypatch):
+        """The workload summary rides the engine's pass: one simulated
+        point opens a streamed trace once, not once per consumer."""
+        opened = []
+        plain_iter = TraceBlockStream.__iter__
+
+        def counting_iter(stream):
+            opened.append(stream.path.name)
+            return plain_iter(stream)
+
+        monkeypatch.setattr(TraceBlockStream, "__iter__", counting_iter)
+        point = ScenarioPointSpec(
+            scenario="tor-replay-eq", defense="Null", seed=17, t_rate=64.0
+        )
+        row = run_spec_point(_tor_spec(True), point)
+        assert opened == ["tor_relay_flap.csv"]
+        assert row["peak_join_rate"] > 0
+
+
 class TestLazyCompilation:
     def test_streaming_part_is_not_materialized(self):
         compiled = compile_scenario(_tor_spec(True), np.random.default_rng(1))
